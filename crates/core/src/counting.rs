@@ -196,19 +196,100 @@ impl QueryEstimate {
     /// Pre-BFS, where the bounds are dramatically tighter than on the
     /// original graph.
     pub fn compute(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> QueryEstimate {
-        let (max_results, results_saturated) = count_st_walks_checked(g, s, t, k);
-        let (max_intermediate_paths, walks_saturated) = count_walks_from_checked(g, s, k);
-        QueryEstimate {
-            max_results,
-            max_intermediate_paths,
-            saturated: results_saturated || walks_saturated,
-        }
+        WalkSummary::compute(g, s, t, k).estimate
     }
 
     /// Whether the estimate exceeds a result budget (the `INF` cutoff used by
     /// the experiment harness).
     pub fn exceeds(&self, max_results: u64) -> bool {
         self.max_results > max_results
+    }
+}
+
+/// Every walk bound the router reads, from one `k`-layer DP from `s`.
+///
+/// The per-vertex walk counts of layer `h` are the same whichever bound is
+/// being summed, so the s-t walk total ([`count_st_walks_checked`]), the
+/// walks-from-`s` total at `k` and at `⌈k/2⌉` ([`count_walks_from_checked`])
+/// are all read off one pass. Each value and flag is bit-identical to the
+/// separate DP it replaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WalkSummary {
+    /// The s-t and walks-from-`s` bounds at depth `k`.
+    pub(crate) estimate: QueryEstimate,
+    /// Walks of length at most `⌈k/2⌉` from `s`.
+    pub(crate) half_walks: u64,
+    /// Whether the half-depth count saturated.
+    pub(crate) half_saturated: bool,
+}
+
+impl WalkSummary {
+    /// Runs the single walk DP for `(s, t, k)` on `g`.
+    pub(crate) fn compute(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> WalkSummary {
+        let n = g.num_vertices();
+        if n == 0 || s.index() >= n {
+            return WalkSummary {
+                estimate: QueryEstimate {
+                    max_results: 0,
+                    max_intermediate_paths: 0,
+                    saturated: false,
+                },
+                half_walks: 0,
+                half_saturated: false,
+            };
+        }
+        // An out-of-range target only empties the s-t side, as in
+        // `walk_profile_checked`; the walks-from-`s` side still runs.
+        let t_in_range = t.index() < n;
+        let half = k.div_ceil(2);
+        // A pinned per-vertex counter taints every bound; each running sum
+        // has its own overflow flag.
+        let mut vertex_saturated = false;
+        let mut results_saturated = false;
+        let mut walks_saturated = false;
+        let mut results = u64::from(t_in_range && s == t);
+        let mut walks: u64 = 1;
+        let (mut half_walks, mut half_saturated) = (walks, false);
+
+        let mut current = vec![0u64; n];
+        current[s.index()] = 1;
+        let mut next = vec![0u64; n];
+        for depth in 1..=k {
+            next.fill(0);
+            for (v, &c) in current.iter().enumerate() {
+                if c == 0 {
+                    continue;
+                }
+                for &w in g.successors(VertexId::from_index(v)) {
+                    let slot = &mut next[w.index()];
+                    *slot = sat_add(*slot, c, &mut vertex_saturated);
+                }
+            }
+            let frontier_total =
+                next.iter().fold(0u64, |acc, &c| sat_add(acc, c, &mut walks_saturated));
+            walks = sat_add(walks, frontier_total, &mut walks_saturated);
+            if t_in_range {
+                results = sat_add(results, next[t.index()], &mut results_saturated);
+            }
+            if depth <= half {
+                half_walks = walks;
+                half_saturated = vertex_saturated || walks_saturated;
+            }
+            // Every later layer is empty: nothing more to add anywhere.
+            if frontier_total == 0 {
+                break;
+            }
+            std::mem::swap(&mut current, &mut next);
+        }
+        WalkSummary {
+            estimate: QueryEstimate {
+                max_results: results,
+                max_intermediate_paths: walks,
+                saturated: vertex_saturated || results_saturated || walks_saturated,
+            },
+            half_walks,
+            half_saturated,
+        }
     }
 }
 
@@ -332,6 +413,80 @@ mod tests {
         assert_eq!(count_walks_from(&g, vid(9), 3), 0);
         let empty = CsrGraph::empty(0);
         assert_eq!(count_st_walks(&empty, vid(0), vid(0), 3), 0);
+    }
+
+    /// The three separate DPs [`WalkSummary`] folds into one pass.
+    fn separate_dps(g: &CsrGraph, s: VertexId, t: VertexId, k: u32) -> WalkSummary {
+        let (max_results, results_saturated) = count_st_walks_checked(g, s, t, k);
+        let (max_intermediate_paths, walks_saturated) = count_walks_from_checked(g, s, k);
+        let (half_walks, half_saturated) = count_walks_from_checked(g, s, k.div_ceil(2));
+        WalkSummary {
+            estimate: QueryEstimate {
+                max_results,
+                max_intermediate_paths,
+                saturated: results_saturated || walks_saturated,
+            },
+            half_walks,
+            half_saturated,
+        }
+    }
+
+    #[test]
+    fn single_pass_matches_the_separate_dps_on_random_graphs() {
+        for seed in 0..12u64 {
+            let n = 40 + (seed as usize * 53) % 260;
+            let avg = 2.0 + (seed % 5) as f64 * 1.5;
+            let g = chung_lu(n, avg, 2.2, seed).to_csr();
+            let n = n as u32;
+            for q in 0..8u32 {
+                let s = vid((q * 13 + seed as u32) % n);
+                let t = vid((q * 29 + 7 + seed as u32) % n);
+                for k in 0..=9 {
+                    assert_eq!(
+                        WalkSummary::compute(&g, s, t, k),
+                        separate_dps(&g, s, t, k),
+                        "seed {seed}, ({s}, {t}, {k})"
+                    );
+                }
+            }
+            // s == t and out-of-range endpoints take the DPs' edge paths.
+            for (s, t) in [(vid(1), vid(1)), (vid(0), vid(n + 3)), (vid(n + 3), vid(0))] {
+                assert_eq!(WalkSummary::compute(&g, s, t, 5), separate_dps(&g, s, t, 5));
+            }
+        }
+    }
+
+    #[test]
+    fn single_pass_matches_the_separate_dps_when_saturating() {
+        // Complete K12: 11^h walks per layer, so the k-depth bound saturates
+        // from k = 19 and the half-depth bound from k = 37.
+        let mut edges = Vec::new();
+        for a in 0..12u32 {
+            for b in 0..12u32 {
+                if a != b {
+                    edges.push((a, b));
+                }
+            }
+        }
+        let g = CsrGraph::from_edges(12, &edges);
+        let (mut full_only, mut both) = (0, 0);
+        for k in 0..=45 {
+            for (s, t) in [(0, 1), (3, 3), (11, 0)] {
+                let single = WalkSummary::compute(&g, vid(s), vid(t), k);
+                assert_eq!(single, separate_dps(&g, vid(s), vid(t), k), "({s}, {t}, {k})");
+                match (single.estimate.saturated, single.half_saturated) {
+                    (true, false) => full_only += 1,
+                    (true, true) => both += 1,
+                    _ => {}
+                }
+            }
+        }
+        assert!(full_only > 0 && both > 0, "both saturation regimes must be exercised");
+        let empty = CsrGraph::empty(0);
+        assert_eq!(
+            WalkSummary::compute(&empty, vid(0), vid(0), 3),
+            separate_dps(&empty, vid(0), vid(0), 3)
+        );
     }
 
     #[test]

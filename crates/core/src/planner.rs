@@ -60,7 +60,8 @@ fn round_down_pow2(x: usize) -> usize {
 pub fn plan_query(prepared: &PreparedQuery, config: &DeviceConfig) -> QueryPlan {
     let mut rationale = Vec::new();
     let g = &prepared.graph;
-    let estimate = QueryEstimate::compute(g, prepared.s, prepared.t, prepared.k);
+    // The router's memoised walk bounds: no DP of the planner's own.
+    let estimate = prepared.route_features().estimate;
     rationale.push(format!(
         "pruned subgraph has {} vertices / {} edges; ≤ {} results, ≤ {} intermediate paths predicted",
         g.num_vertices(),

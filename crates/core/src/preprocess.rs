@@ -37,12 +37,13 @@
 //! preprocessing used by the ablation in Fig. 12 (barrier from a full k-hop
 //! reverse BFS, no subgraph extraction).
 
+use crate::routing::RouteFeatures;
 use pefp_graph::bfs::{BfsScratch, UNREACHED};
 use pefp_graph::delta::GraphSnapshot;
 use pefp_graph::induced::{induce_subgraph_from_vertices_with, InducedSubgraph, RemapScratch};
 use pefp_graph::view::GraphView;
 use pefp_graph::{CsrGraph, VertexId};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The set of data-graph vertices a preparation *depended on* — the sound
@@ -129,6 +130,9 @@ pub struct PreparedQuery {
     pub touched: TouchedSet,
     /// Host wall-clock time spent preprocessing, in milliseconds.
     pub host_millis: f64,
+    /// The router's features, filled on first use by
+    /// [`route_features`](Self::route_features).
+    route_features: OnceLock<RouteFeatures>,
 }
 
 impl PreparedQuery {
@@ -136,6 +140,17 @@ impl PreparedQuery {
     /// (CSR arrays + barrier + query parameters), used for the PCIe model.
     pub fn transfer_bytes(&self) -> usize {
         self.graph.byte_size() + self.barrier.len() * 4 + 4 * 4
+    }
+
+    /// The router's feature vector, computed on first call and memoised.
+    ///
+    /// The features are a pure function of the fields above, so a cached
+    /// preparation routes, re-routes and explains from one computation, and
+    /// the memo leaves the cache with its entry. Pre-BFS never fills it, so
+    /// `host_millis` (T1) does not include it. Do not mutate a field after the
+    /// first call: prepare the query again instead.
+    pub fn route_features(&self) -> &RouteFeatures {
+        self.route_features.get_or_init(|| RouteFeatures::compute(self))
     }
 
     /// Translates a path expressed in device ids back to original graph ids.
@@ -355,6 +370,7 @@ where
         touched: TouchedSet::Vertices(touched),
         mapping: Some(mapping),
         host_millis,
+        route_features: OnceLock::new(),
     }
 }
 
@@ -401,6 +417,7 @@ pub fn no_prebfs_with(
         feasible,
         touched: TouchedSet::All,
         host_millis,
+        route_features: OnceLock::new(),
     }
 }
 
@@ -477,6 +494,7 @@ pub fn no_prebfs_snapshot_with(
         feasible,
         touched: TouchedSet::All,
         host_millis,
+        route_features: OnceLock::new(),
     }
 }
 
@@ -499,6 +517,7 @@ fn trivial_prepared(
         feasible: s == t,
         touched: TouchedSet::All,
         host_millis,
+        route_features: OnceLock::new(),
     }
 }
 

@@ -29,7 +29,7 @@
 //! (de)serialisation of [`RoutingTable`] lives in `pefp-workload`, which owns
 //! the hand-rolled JSON vocabulary.
 
-use crate::counting::{count_walks_from_checked, QueryEstimate};
+use crate::counting::{QueryEstimate, WalkSummary};
 use crate::preprocess::PreparedQuery;
 
 /// The engine a query is routed to.
@@ -76,7 +76,7 @@ impl EngineChoice {
 
 /// The deterministic feature vector the router scores. Everything here is a
 /// by-product of preprocessing — no engine is run to produce it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteFeatures {
     /// `|V(G')|` — vertices of the pruned subgraph.
     pub vertices: usize,
@@ -102,22 +102,29 @@ pub struct RouteFeatures {
 }
 
 impl RouteFeatures {
-    /// Computes the feature vector for a prepared query. Costs one extra
-    /// half-depth walk DP on `G'` — negligible next to Pre-BFS itself.
+    /// Computes the feature vector for a prepared query: one `k`-layer walk
+    /// DP on `G'` (`WalkSummary`) plus a barrier histogram.
+    ///
+    /// Not negligible next to Pre-BFS. On the gate graph's 112 hub queries
+    /// (mean `|V'|` 449, `|E'|` 2788; 2-vCPU x86 VM) the three separate walk
+    /// DPs this pass replaced cost 68–133 µs against 750–1000 µs for Pre-BFS,
+    /// and a cache hit paid them twice; the single pass costs about 40 µs.
+    /// Callers therefore read the memo, [`PreparedQuery::route_features`],
+    /// which pays it once per preparation rather than once per routing call.
     pub fn compute(prepared: &PreparedQuery) -> RouteFeatures {
         let g = &prepared.graph;
-        let estimate = QueryEstimate::compute(g, prepared.s, prepared.t, prepared.k);
         let k = prepared.k;
+        let walks = WalkSummary::compute(g, prepared.s, prepared.t, k);
+        let estimate = walks.estimate;
         let mut barrier_histogram = vec![0u64; k as usize + 2];
         for &b in &prepared.barrier {
             barrier_histogram[(b as usize).min(k as usize + 1)] += 1;
         }
-        let (half_walks, half_saturated) = count_walks_from_checked(g, prepared.s, k.div_ceil(2));
         let dfs_work = estimate.max_intermediate_paths as f64;
-        let join_work = if half_saturated {
+        let join_work = if walks.half_saturated {
             u64::MAX as f64
         } else {
-            half_walks as f64 + estimate.max_results as f64
+            walks.half_walks as f64 + estimate.max_results as f64
         };
         RouteFeatures {
             vertices: g.num_vertices(),
@@ -272,7 +279,7 @@ impl Default for RouteContext {
 }
 
 /// Predicted per-engine latencies in microseconds.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineCosts {
     /// CPU BC-DFS.
     pub bc_dfs_us: f64,
@@ -317,13 +324,14 @@ pub struct RouteDecision {
 ///
 /// Deterministic: the same `(prepared, table, ctx)` always yields the same
 /// decision. Ties break towards the CPU (cheaper infrastructure), then by
-/// [`EngineChoice::all`] order.
+/// [`EngineChoice::all`] order. The features come from the prepared query's
+/// memo, so routing the same preparation again only re-scores it.
 pub fn route_query(
     prepared: &PreparedQuery,
     table: &RoutingTable,
     ctx: &RouteContext,
 ) -> RouteDecision {
-    let features = RouteFeatures::compute(prepared);
+    let features = prepared.route_features().clone();
     let mut rationale = Vec::new();
     rationale.push(format!(
         "G' has {} vertices / {} edges, k = {}; ≤ {} results, dfs work {:.0}, join work {:.0}",
@@ -538,12 +546,36 @@ mod tests {
     #[test]
     fn decisions_are_deterministic() {
         let g = chung_lu(500, 6.0, 2.2, 13).to_csr();
+        let table = RoutingTable::builtin();
+        let ctx = RouteContext { compute_units: 4, charge_banked: false };
         for &(s, t, k) in &[(0u32, 250u32, 3u32), (1, 100, 5), (7, 400, 6)] {
             let a = route(&g, s, t, k, 4);
             let b = route(&g, s, t, k, 4);
             assert_eq!(a.choice, b.choice);
             assert_eq!(a.rationale, b.rationale);
             assert_eq!(a.cost_estimate_us, b.cost_estimate_us);
+
+            // The memo changes nothing: a memoised preparation, clones taken
+            // before and after it was filled, and a re-prepared copy all
+            // route alike, from the features a direct computation gives.
+            let prepared = pre_bfs(&g, VertexId(s), VertexId(t), k);
+            let unfilled_clone = prepared.clone();
+            let first = route_query(&prepared, &table, &ctx);
+            let decisions = [
+                route_query(&prepared, &table, &ctx),
+                route_query(&prepared.clone(), &table, &ctx),
+                route_query(&unfilled_clone, &table, &ctx),
+                route_query(&pre_bfs(&g, VertexId(s), VertexId(t), k), &table, &ctx),
+            ];
+            for d in decisions.iter().chain([&a]) {
+                assert_eq!(d.choice, first.choice);
+                assert_eq!(d.costs, first.costs);
+                assert_eq!(d.cost_estimate_us, first.cost_estimate_us);
+                assert_eq!(d.features, first.features);
+                assert_eq!(d.rationale, first.rationale);
+            }
+            assert_eq!(first.features, RouteFeatures::compute(&prepared));
+            assert!(std::ptr::eq(prepared.route_features(), prepared.route_features()));
         }
     }
 

@@ -1592,10 +1592,13 @@ impl HostRuntime {
     /// Submission-time LPT estimate of one request. With the router
     /// configured and the query already resident in the shared prepared
     /// cache, the router's modelled cost (µs) is the ordering key — a real
-    /// latency prediction instead of the degree proxy. Unprepared queries
-    /// fall back to [`estimate`]: preprocessing at admission would serialise
-    /// every submitter on the caller's thread. The two keys only ever *rank*
-    /// jobs within one session's lane, so mixing the scales is benign.
+    /// latency prediction instead of the degree proxy. The cached entry
+    /// carries its memoised route features, so this only re-scores them on
+    /// the caller's thread; the worker's own routing of the hit reads the
+    /// same memo. Unprepared queries fall back to [`estimate`]:
+    /// preprocessing at admission would serialise every submitter on the
+    /// caller's thread. The two keys only ever *rank* jobs within one
+    /// session's lane, so mixing the scales is benign.
     fn admission_estimate(&self, snapshot: &GraphSnapshot, request: &QueryRequest) -> u64 {
         if let Some(table) = &self.shared.config.routing {
             if let Some(prepared) = self.shared.cache.peek(request) {
@@ -2048,7 +2051,10 @@ fn execute_job(shared: &RuntimeShared, ctx: &mut PrepareContext, dma: &mut DmaEn
     // modelled CPU latency beats the device (transfer included) skips the
     // DRAM capacity check, the PCIe transfer and the CU lease entirely and
     // is handed to the dedicated CPU pool. Routing is deterministic in the
-    // prepared query and the table, so a cached entry re-routes identically.
+    // prepared query and the table, so a cached entry re-routes identically;
+    // its features are memoised on the entry, so a hit (already routed once
+    // at admission) pays only the re-scoring and a miss fills the memo
+    // before the entry is cached.
     if let Some(table) = &shared.config.routing {
         let ctx = RouteContext {
             compute_units: shared.config.compute_units.max(1),
