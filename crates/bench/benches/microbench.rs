@@ -2,16 +2,22 @@
 //!
 //! These do not correspond to a specific paper figure; they track the cost of
 //! the individual building blocks (CSR construction, k-hop BFS, Pre-BFS,
-//! path-row operations, verification throughput) so performance regressions
-//! can be localised when the figure-level numbers move.
+//! path-row operations, verification throughput, the device simulator's host
+//! time) so performance regressions can be localised when the figure-level
+//! numbers move.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pefp_core::engine::verify::{verify, Verdict};
-use pefp_core::{pre_bfs, pre_bfs_with, PrepareContext, TempPath};
+use pefp_core::{
+    pre_bfs, pre_bfs_with, prepare, route_query, run_prepared_with_sink, CountingSink,
+    EngineChoice, PefpVariant, PrepareContext, PreparedQuery, RouteContext, RoutingTable, TempPath,
+};
+use pefp_fpga::DeviceConfig;
 use pefp_graph::bfs::{khop_bfs, BfsScratch};
 use pefp_graph::{generators, CsrBuilder, VertexId};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn bench_csr_construction(c: &mut Criterion) {
     let graph = generators::chung_lu(5_000, 8.0, 2.2, 1);
@@ -117,6 +123,60 @@ fn bench_verification_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// Host time of the simulated device engine on the queries the builtin
+/// router sends to the device: every ordered pair of the 8 heaviest hubs of
+/// the gate graph at k = 6 and k = 7, as served on 2 CUs. One sample runs
+/// the whole pool; the extra line gives host µs per query and simulated
+/// device cycles per host second, the simulator's own speed.
+fn bench_engine_host(c: &mut Criterion) {
+    let handle = pefp_bench::gate::gate_graph();
+    let table = RoutingTable::builtin();
+    let route_ctx = RouteContext { compute_units: 2, ..RouteContext::default() };
+    let device = DeviceConfig::alveo_u200();
+    let mut options = PefpVariant::Full.engine_options();
+    options.collect_paths = false;
+    let mut group = c.benchmark_group("engine_host");
+    group.sample_size(20);
+    for k in [6u32, 7] {
+        let pool: Vec<PreparedQuery> = (0..8u32)
+            .flat_map(|s| (0..8u32).filter(move |&t| t != s).map(move |t| (s, t)))
+            .map(|(s, t)| prepare(&handle.csr, VertexId(s), VertexId(t), k, PefpVariant::Full))
+            .filter(|prep| {
+                let choice = route_query(prep, &table, &route_ctx).choice;
+                matches!(choice, EngineChoice::DeviceSingleCu | EngineChoice::DeviceMultiCu)
+            })
+            .collect();
+        let run_pool = || -> u64 {
+            pool.iter()
+                .map(|prep| {
+                    let mut sink = CountingSink::new();
+                    run_prepared_with_sink(prep, options.clone(), &device, &mut sink).device.cycles
+                })
+                .sum()
+        };
+        let mut rounds = Vec::new();
+        group.bench_function(format!("k{k}_device_routed_pool"), |b| {
+            b.iter(|| {
+                let started = Instant::now();
+                let cycles = run_pool();
+                rounds.push((started.elapsed().as_secs_f64(), cycles));
+                cycles
+            })
+        });
+        rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (median_s, cycles) = rounds[rounds.len() / 2];
+        println!(
+            "engine_host/k{k}: {} device-routed queries, {:.1} host us/query, \
+             {:.2}M simulated cycles per host second (median of {} pool runs)",
+            pool.len(),
+            median_s * 1e6 / pool.len().max(1) as f64,
+            cycles as f64 / median_s / 1e6,
+            rounds.len()
+        );
+    }
+    group.finish();
+}
+
 fn bench_generators(c: &mut Criterion) {
     let mut group = c.benchmark_group("generators");
     group.sample_size(10);
@@ -136,6 +196,7 @@ criterion_group!(
     bench_prebfs,
     bench_path_rows,
     bench_verification_throughput,
+    bench_engine_host,
     bench_generators
 );
 criterion_main!(benches);

@@ -13,16 +13,16 @@
 
 use super::PefpEngine;
 use crate::options::BatchStrategy;
-use crate::path::TempPath;
+use crate::path::PathRow;
 
-impl PefpEngine<'_> {
+impl<const N: usize> PefpEngine<'_, N> {
     /// `NextBatch(P, PD)` — Algorithm 3.
     ///
     /// Fills `batch` (cleared first) with the next processing-area batch,
     /// refilling the buffer from DRAM when it has run dry; the caller reuses
     /// the vector across batches so steady state allocates nothing. An empty
     /// `batch` on return terminates the engine loop.
-    pub(super) fn next_batch(&mut self, batch: &mut Vec<TempPath>) {
+    pub(super) fn next_batch(&mut self, batch: &mut Vec<PathRow<N>>) {
         batch.clear();
         if self.buffer.is_empty() {
             if self.dram_paths.is_empty() {
@@ -39,14 +39,14 @@ impl PefpEngine<'_> {
     fn refill_buffer_from_dram(&mut self) {
         let n = self.opts.dram_fetch_batch.min(self.dram_paths.len());
         let start = self.dram_paths.len() - n;
-        let words: u64 = self.dram_paths[start..].iter().map(TempPath::words).sum();
+        let words: u64 = self.dram_paths[start..].iter().map(PathRow::words).sum();
         self.device.charge_dram_batch_fetch(words);
         // Drain in place: no intermediate vector per refill.
         self.buffer.extend(self.dram_paths.drain(start..));
     }
 
     /// `Batch-DFS(P, Θ2)` — Algorithm 4 — or its FIFO counterpart.
-    fn fill_processing_area(&mut self, batch: &mut Vec<TempPath>) {
+    fn fill_processing_area(&mut self, batch: &mut Vec<PathRow<N>>) {
         let mut cnt: u32 = 0;
         let theta2 = self.opts.processing_capacity;
         while cnt < theta2 {
@@ -86,7 +86,7 @@ impl PefpEngine<'_> {
     /// latency is part of the pipeline depth), so only the DRAM case — the
     /// No-Cache configuration where the buffer itself lives off-chip — costs
     /// extra cycles.
-    fn charge_batch_path_move(&mut self, path: &TempPath) {
+    fn charge_batch_path_move(&mut self, path: &PathRow<N>) {
         if !self.layout.paths_in_bram {
             self.device.charge_read(pefp_fpga::MemoryKind::Dram, path.words());
         }
@@ -112,7 +112,7 @@ mod tests {
     ) -> (Vec<Vec<VertexId>>, pefp_fpga::DeviceReport, crate::result::EngineStats) {
         let prep = pre_bfs(g, VertexId(s), VertexId(t), k);
         let device = Device::new(DeviceConfig::alveo_u200());
-        let mut engine =
+        let mut engine: PefpEngine<'_> =
             PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, k, opts, device);
         let out = engine.run();
         let report = engine.device_report();

@@ -15,13 +15,19 @@
 //! [`Device`] so the run produces both the exact result set and a simulated
 //! device time (see `pefp-fpga` for the cost model and `DESIGN.md` for the
 //! justification of the substitution).
+//!
+//! The host does only the work whose outcome it needs: successors rejected by
+//! the barrier check are skipped through a per-run survivor memo
+//! (`verify::SurvivorMemo`) and counted, not verified one by one, and path rows are `N` vertices wide
+//! (sized to `k` by the caller). Neither changes a simulated statistic: the
+//! device is still charged for streaming every expansion through the check.
 
 pub mod batch;
 pub mod memory;
 pub mod verify;
 
 use crate::options::{BatchStrategy, CancelToken, EngineOptions};
-use crate::path::{TempPath, MAX_K};
+use crate::path::{PathRow, MAX_K};
 use crate::result::{EngineOutput, EngineStats};
 use memory::MemoryLayout;
 use pefp_fpga::Device;
@@ -29,10 +35,11 @@ use pefp_graph::sink::{CollectSink, CountingSink, FirstN, PathSink};
 use pefp_graph::{CsrGraph, RowPlacement, VertexId};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use verify::Verdict;
+use verify::{SurvivorMemo, Verdict};
 
-/// Device-side enumeration engine for one prepared query.
-pub struct PefpEngine<'a> {
+/// Device-side enumeration engine for one prepared query, holding host path
+/// rows of `N` vertices (at least `k + 1`; the default holds any `k ≤ MAX_K`).
+pub struct PefpEngine<'a, const N: usize = { MAX_K + 1 }> {
     /// The (preprocessed) graph in CSR form.
     graph: &'a CsrGraph,
     /// Barrier array: `bar[u] = sd(u, t)` clamped to `k + 1`.
@@ -54,9 +61,11 @@ pub struct PefpEngine<'a> {
     /// the one configuration where a row's bank assignment costs time.
     placement: Option<RowPlacement>,
     /// Buffer area `P` (front = oldest / bottom of the stack).
-    buffer: VecDeque<TempPath>,
+    buffer: VecDeque<PathRow<N>>,
     /// DRAM-resident intermediate path set `PD`.
-    dram_paths: Vec<TempPath>,
+    dram_paths: Vec<PathRow<N>>,
+    /// Barrier survivors per (CSR row, slack), built as the run reaches them.
+    memo: SurvivorMemo,
     /// Reusable emission buffer: the result path handed to the sink, so the
     /// hot loop allocates nothing per result.
     emit_buf: Vec<VertexId>,
@@ -116,13 +125,13 @@ fn placement_heat(graph: &CsrGraph, barrier: &[u32], s: VertexId, k: u32) -> Vec
     heat
 }
 
-impl<'a> PefpEngine<'a> {
+impl<'a, const N: usize> PefpEngine<'a, N> {
     /// Creates an engine for one query.
     ///
     /// # Panics
     ///
-    /// Panics when the options are invalid, `k` exceeds [`MAX_K`], or the
-    /// barrier array does not cover the graph.
+    /// Panics when the options are invalid, `k` exceeds [`MAX_K`] or the row
+    /// capacity `N - 1`, or the barrier array does not cover the graph.
     pub fn new(
         graph: &'a CsrGraph,
         barrier: &'a [u32],
@@ -135,6 +144,7 @@ impl<'a> PefpEngine<'a> {
         let problems = opts.validate();
         assert!(problems.is_empty(), "invalid engine options: {problems:?}");
         assert!(k as usize <= MAX_K, "hop constraint {k} exceeds MAX_K = {MAX_K}");
+        assert!((k as usize) < N, "hop constraint {k} exceeds the row capacity of {} hops", N - 1);
         assert_eq!(barrier.len(), graph.num_vertices(), "barrier array must cover every vertex");
         assert!(s.index() < graph.num_vertices(), "source {s} out of range");
         assert!(t.index() < graph.num_vertices(), "target {t} out of range");
@@ -159,7 +169,8 @@ impl<'a> PefpEngine<'a> {
             placement,
             buffer: VecDeque::new(),
             dram_paths: Vec::new(),
-            emit_buf: Vec::with_capacity(MAX_K + 1),
+            memo: SurvivorMemo::new(graph.num_vertices(), t, k),
+            emit_buf: Vec::with_capacity(N),
             stats: EngineStats::default(),
         }
     }
@@ -255,8 +266,8 @@ impl<'a> PefpEngine<'a> {
         }
 
         // Line 2: P'.push({s}).
-        let mut processing: Vec<TempPath> = Vec::new();
-        let mut initial = TempPath::initial(self.graph, self.s);
+        let mut processing: Vec<PathRow<N>> = Vec::new();
+        let mut initial = PathRow::initial(self.graph, self.s);
         // The initial path may itself exceed the processing capacity (a super
         // node source); split it exactly like any buffered path.
         while let Some(copy) = initial.take_window(self.opts.processing_capacity) {
@@ -332,18 +343,25 @@ impl<'a> PefpEngine<'a> {
     /// uncached graph/barrier lookups (as an initiation-interval stall),
     /// intermediate paths written to DRAM, and result paths shipped to the
     /// host — appear as extra DRAM cost.
+    ///
+    /// On the host only the window's barrier survivors are verified; the
+    /// rest of the window is counted as barrier-pruned, exactly as if each
+    /// had been verified.
     /// Returns [`ControlFlow::Break`] when the sink terminated the
     /// enumeration; the device is still charged for the work performed up to
     /// that point.
     fn process_batch<S: PathSink + ?Sized>(
         &mut self,
-        batch: &[TempPath],
+        batch: &[PathRow<N>],
         sink: &mut S,
     ) -> ControlFlow<()> {
         let mut flow = ControlFlow::Continue(());
         let mut total_inputs: u64 = 0;
         let mut result_words: u64 = 0;
         let mut dram_intermediate_words: u64 = 0;
+        // Moved out for the batch so its survivor slices can be read while
+        // the loop pushes to the buffer.
+        let mut memo = std::mem::take(&mut self.memo);
 
         'batch: for path in batch {
             let window = path.window_start()..path.window_end();
@@ -376,9 +394,12 @@ impl<'a> PefpEngine<'a> {
                 self.device.note_cache_misses(window_len, window_len);
             }
 
-            for edge_idx in window {
+            let survivors =
+                memo.window(self.graph, self.barrier, path.last(), path.hops(), window.clone());
+            self.stats.expansions += window_len;
+            self.stats.pruned_by_barrier += window_len - survivors.len() as u64;
+            for (i, &edge_idx) in survivors.iter().enumerate() {
                 let nbr = self.graph.edge_target(edge_idx);
-                self.stats.expansions += 1;
                 match verify::verify(path, nbr, self.t, self.k, self.barrier[nbr.index()]) {
                     Verdict::Result => {
                         // Reuse the emission buffer: no allocation per result.
@@ -390,6 +411,12 @@ impl<'a> PefpEngine<'a> {
                         let emitted = self.emit_result_path(sink, &full);
                         self.emit_buf = full;
                         if emitted.is_break() {
+                            // Expansion stops at the breaking edge: the rest
+                            // of the window was never examined.
+                            let unexamined = u64::from(window.end - edge_idx - 1);
+                            let unexamined_survivors = (survivors.len() - i - 1) as u64;
+                            self.stats.expansions -= unexamined;
+                            self.stats.pruned_by_barrier -= unexamined - unexamined_survivors;
                             flow = ControlFlow::Break(());
                             break 'batch;
                         }
@@ -398,11 +425,14 @@ impl<'a> PefpEngine<'a> {
                         let extended = path.extended(self.graph, nbr);
                         dram_intermediate_words += self.push_intermediate(extended);
                     }
-                    Verdict::PrunedBarrier => self.stats.pruned_by_barrier += 1,
+                    Verdict::PrunedBarrier => {
+                        unreachable!("the survivor memo yields only barrier survivors")
+                    }
                     Verdict::PrunedVisited => self.stats.pruned_by_visited += 1,
                 }
             }
         }
+        self.memo = memo;
 
         // Compute schedule: the batch streams through the replicated lanes.
         let lanes = self.device.verification_lanes() as u64;
@@ -454,7 +484,7 @@ impl<'a> PefpEngine<'a> {
     /// Returns the number of words this push sent directly to DRAM (non-zero
     /// only when intermediate-path caching is disabled), so the caller can
     /// charge the transfer as one burst per batch.
-    fn push_intermediate(&mut self, path: TempPath) -> u64 {
+    fn push_intermediate(&mut self, path: PathRow<N>) -> u64 {
         self.stats.intermediate_paths += 1;
         if !self.layout.paths_in_bram {
             // No caching of intermediate paths: everything lives in DRAM.
@@ -499,19 +529,46 @@ impl<'a> PefpEngine<'a> {
 mod tests {
     use super::*;
     use crate::options::VerificationPipeline;
-    use crate::preprocess::pre_bfs;
-    use pefp_fpga::DeviceConfig;
+    use crate::path::NARROW_ROW;
+    use crate::preprocess::{pre_bfs, PreparedQuery};
+    use pefp_fpga::{DeviceConfig, DeviceReport};
     use pefp_graph::paths::{canonicalize, validate_result};
 
-    fn run_engine(g: &CsrGraph, s: u32, t: u32, k: u32, opts: EngineOptions) -> EngineOutput {
-        let prep = pre_bfs(g, VertexId(s), VertexId(t), k);
+    /// The engine with full-width path rows.
+    type FullWidth<'a> = PefpEngine<'a>;
+
+    fn run_width<const N: usize>(
+        prep: &PreparedQuery,
+        opts: EngineOptions,
+    ) -> (EngineOutput, DeviceReport) {
         let device = Device::new(DeviceConfig::alveo_u200());
         let mut engine =
-            PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, k, opts, device);
-        let mut out = engine.run();
+            PefpEngine::<N>::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
+        let out = engine.run();
+        (out, engine.device_report())
+    }
+
+    /// Runs the query with full-width path rows and, when `k` fits, with
+    /// narrow rows as well: both widths must agree exactly — results,
+    /// counters and simulated device report.
+    fn run_engine(g: &CsrGraph, s: u32, t: u32, k: u32, opts: EngineOptions) -> EngineOutput {
+        let prep = pre_bfs(g, VertexId(s), VertexId(t), k);
+        let (mut out, report) = run_width::<{ MAX_K + 1 }>(&prep, opts.clone());
+        if (k as usize) < NARROW_ROW {
+            let (narrow, narrow_report) = run_width::<NARROW_ROW>(&prep, opts);
+            assert_eq!(narrow.paths, out.paths, "query ({s},{t},{k})");
+            assert_eq!(narrow.stats, out.stats, "query ({s},{t},{k})");
+            assert_eq!(narrow_report, report, "query ({s},{t},{k})");
+        }
         // Translate back to original ids for comparison.
         out.paths = out.paths.iter().map(|p| prep.translate_path(p)).collect();
         out
+    }
+
+    /// A dense random graph whose 0 → 7 queries at k = 15 and k = 16 sit on
+    /// either side of the narrow-row width.
+    fn long_path_graph() -> CsrGraph {
+        pefp_graph::generators::erdos_renyi(20, 60, 500).to_csr()
     }
 
     #[test]
@@ -533,14 +590,33 @@ mod tests {
                 assert_eq!(canonicalize(out.paths), expected, "seed {seed} query ({s},{t},{k})");
             }
         }
+        let g = long_path_graph();
+        for k in [15u32, 16] {
+            let out = run_engine(&g, 0, 7, k, EngineOptions::default());
+            let expected = canonicalize(naive_dfs_enumerate(&g, VertexId(0), VertexId(7), k));
+            assert!(!expected.is_empty());
+            assert_eq!(canonicalize(out.paths), expected, "long query at k = {k}");
+        }
     }
 
     #[test]
     fn all_option_combinations_agree() {
         use pefp_baselines::naive_dfs_enumerate;
-        let g = pefp_graph::generators::chung_lu(70, 5.0, 2.1, 42).to_csr();
-        let (s, t, k) = (1u32, 30u32, 5u32);
-        let expected = canonicalize(naive_dfs_enumerate(&g, VertexId(s), VertexId(t), k));
+        let short = pefp_graph::generators::chung_lu(70, 5.0, 2.1, 42).to_csr();
+        let long = long_path_graph();
+        for (g, s, t, k) in [(&short, 1u32, 30u32, 5u32), (&long, 0, 7, 15), (&long, 0, 7, 16)] {
+            let expected = canonicalize(naive_dfs_enumerate(g, VertexId(s), VertexId(t), k));
+            all_option_combinations_match(g, s, t, k, &expected);
+        }
+    }
+
+    fn all_option_combinations_match(
+        g: &CsrGraph,
+        s: u32,
+        t: u32,
+        k: u32,
+        expected: &[Vec<VertexId>],
+    ) {
         for strategy in [BatchStrategy::LongestFirst, BatchStrategy::Fifo] {
             for cache in [true, false] {
                 for pipeline in [VerificationPipeline::Basic, VerificationPipeline::Dataflow] {
@@ -557,11 +633,11 @@ mod tests {
                         cycle_budget: None,
                         bank_placement: pefp_graph::PlacementPolicy::Natural,
                     };
-                    let out = run_engine(&g, s, t, k, opts);
+                    let out = run_engine(g, s, t, k, opts);
                     assert_eq!(
                         canonicalize(out.paths),
                         expected,
-                        "strategy {strategy:?} cache {cache} pipeline {pipeline:?}"
+                        "k {k} strategy {strategy:?} cache {cache} pipeline {pipeline:?}"
                     );
                 }
             }
@@ -599,7 +675,7 @@ mod tests {
         let prep = pre_bfs(&g, VertexId(0), VertexId(60), 5);
         let collected = {
             let device = Device::new(DeviceConfig::alveo_u200());
-            let mut engine = PefpEngine::new(
+            let mut engine = FullWidth::new(
                 &prep.graph,
                 &prep.barrier,
                 prep.s,
@@ -613,7 +689,7 @@ mod tests {
         let mut sink = pefp_graph::CollectSink::new();
         let streamed = {
             let device = Device::new(DeviceConfig::alveo_u200());
-            let mut engine = PefpEngine::new(
+            let mut engine = FullWidth::new(
                 &prep.graph,
                 &prep.barrier,
                 prep.s,
@@ -646,7 +722,7 @@ mod tests {
         let prep = pre_bfs(&g, s, t, 6);
         let full = {
             let device = Device::new(DeviceConfig::alveo_u200());
-            let mut engine = PefpEngine::new(
+            let mut engine = FullWidth::new(
                 &prep.graph,
                 &prep.barrier,
                 prep.s,
@@ -664,7 +740,7 @@ mod tests {
         let capped = {
             let device = Device::new(DeviceConfig::alveo_u200());
             let mut engine =
-                PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
+                FullWidth::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
             engine.run_with_sink(&mut sink)
         };
         assert_eq!(capped.num_paths, 3);
@@ -729,7 +805,7 @@ mod tests {
         let out = {
             let device = Device::new(DeviceConfig::alveo_u200());
             let mut engine =
-                PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
+                FullWidth::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
             engine.run_with_sink(&mut sink)
         };
         assert!(out.stats.cancelled);
@@ -760,7 +836,7 @@ mod tests {
             ..EngineOptions::default()
         };
         let mut engine =
-            PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
+            FullWidth::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
         let out = engine.run();
         let fault = out.stats.device_fault.expect("the checksum fault must be observed");
         assert_eq!(fault.kind, FaultKind::DramCorruption);
@@ -784,7 +860,7 @@ mod tests {
         device.attach_fault_injector(plan.injector_for(0));
         let opts = EngineOptions { cycle_budget: Some(1_000_000), ..EngineOptions::default() };
         let mut engine =
-            PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
+            FullWidth::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
         let out = engine.run();
         let fault = out.stats.device_fault.expect("watchdog must trip");
         assert_eq!(fault.kind, pefp_fpga::FaultKind::CuHang);
@@ -793,7 +869,7 @@ mod tests {
         let device = Device::new(DeviceConfig::alveo_u200());
         let opts = EngineOptions { cycle_budget: Some(u64::MAX), ..EngineOptions::default() };
         let mut engine =
-            PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
+            FullWidth::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, opts, device);
         let out = engine.run();
         assert!(out.stats.device_fault.is_none());
         assert_eq!(out.num_paths, 1024);
@@ -838,7 +914,7 @@ mod tests {
         let g = CsrGraph::from_edges(2, &[(0, 1)]);
         let barrier = vec![0, 0];
         let device = Device::new(DeviceConfig::alveo_u200());
-        let _ = PefpEngine::new(
+        let _ = FullWidth::new(
             &g,
             &barrier,
             VertexId(0),
@@ -855,7 +931,7 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let barrier = vec![0];
         let device = Device::new(DeviceConfig::alveo_u200());
-        let _ = PefpEngine::new(
+        let _ = FullWidth::new(
             &g,
             &barrier,
             VertexId(0),

@@ -13,11 +13,15 @@
 //! *data-separation* design (Fig. 7) feeds each stage its own copy of the
 //! input so the stages run concurrently under the HLS dataflow optimisation,
 //! and a merge stage ANDs the verdicts; inputs then enter every cycle.
+//!
+//! The host skips the barrier stage's rejects wholesale through a
+//! [`SurvivorMemo`]; the device model still streams every expansion.
 
 use crate::options::VerificationPipeline;
-use crate::path::TempPath;
+use crate::path::PathRow;
 use pefp_fpga::Device;
-use pefp_graph::VertexId;
+use pefp_graph::{CsrGraph, VertexId};
+use std::ops::Range;
 
 /// Outcome of verifying one expansion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +40,13 @@ pub enum Verdict {
 
 /// Functional verification of one expansion (Algorithm 2).
 #[inline]
-pub fn verify(path: &TempPath, successor: VertexId, t: VertexId, k: u32, barrier: u32) -> Verdict {
+pub fn verify<const N: usize>(
+    path: &PathRow<N>,
+    successor: VertexId,
+    t: VertexId,
+    k: u32,
+    barrier: u32,
+) -> Verdict {
     let new_hops = path.hops() + 1;
     // Target check. Intermediate paths always satisfy len(p) <= k - 1 (see the
     // paper's correctness argument), so `new_hops <= k` holds whenever the
@@ -56,6 +66,104 @@ pub fn verify(path: &TempPath, successor: VertexId, t: VertexId, k: u32, barrier
         return Verdict::PrunedVisited;
     }
     Verdict::Valid
+}
+
+/// Marks a [`SurvivorMemo`] slot that has not been built yet.
+const UNBUILT: usize = usize::MAX;
+
+/// Per-run memo of the successors that pass the barrier check.
+///
+/// A successor `v` of a path with `h` hops passes the barrier check iff
+/// `v == t` (while `h + 1 ≤ k`) or `bar[v] ≤ slack` with `slack = k − h − 1`
+/// — see [`verify`]. The survivors of a CSR row therefore depend only on the
+/// row's vertex and the slack: each list is built, in CSR order, the first
+/// time a path asks for that (vertex, slack) pair, and a batch window (a
+/// whole row, or part of one after a Θ2 split) takes its sub-slice by binary
+/// search.
+///
+/// Memory is one index slot per vertex plus, for each vertex the run
+/// expands, `k` list slots and its survivors; there is no eager `|V|·k`
+/// table, because the NoPreBfs ablation runs the engine on the whole data
+/// graph.
+#[derive(Debug)]
+pub(crate) struct SurvivorMemo {
+    /// The target, which survives whenever the hop budget allows one more hop.
+    t: VertexId,
+    /// Hop constraint `k`: slacks range over `0..k`.
+    k: u32,
+    /// Per vertex: offset of its `k` slots in `lists`, or [`UNBUILT`].
+    slots: Vec<usize>,
+    /// Per (vertex, slack): the range of `edges` holding that row's
+    /// survivors, starting at [`UNBUILT`] until built.
+    lists: Vec<Range<usize>>,
+    /// Survivor edge indices, list after list, each list in CSR order.
+    edges: Vec<u32>,
+}
+
+impl Default for SurvivorMemo {
+    /// A memo for a graph without vertices.
+    fn default() -> Self {
+        SurvivorMemo::new(0, VertexId::INVALID, 0)
+    }
+}
+
+impl SurvivorMemo {
+    /// An empty memo for a query `(t, k)` on a graph of `num_vertices`.
+    pub(crate) fn new(num_vertices: usize, t: VertexId, k: u32) -> Self {
+        let slots = vec![UNBUILT; num_vertices];
+        SurvivorMemo { t, k, slots, lists: Vec::new(), edges: Vec::new() }
+    }
+
+    /// The edge indices in `window` — a sub-range of `u`'s CSR row — whose
+    /// targets pass the barrier check when extending a path of `hops` hops
+    /// that ends at `u`, in CSR order.
+    pub(crate) fn window(
+        &mut self,
+        g: &CsrGraph,
+        barrier: &[u32],
+        u: VertexId,
+        hops: u32,
+        window: Range<u32>,
+    ) -> &[u32] {
+        // A path already at the hop budget extends to nothing, not even t.
+        let Some(slack) = self.k.checked_sub(hops + 1) else { return &[] };
+        let row = g.neighbor_range(u);
+        let list = self.list(g, barrier, u, slack, row.clone());
+        let survivors = &self.edges[list];
+        if window == row {
+            return survivors;
+        }
+        let lo = survivors.partition_point(|&e| e < window.start);
+        let hi = lo + survivors[lo..].partition_point(|&e| e < window.end);
+        &survivors[lo..hi]
+    }
+
+    /// The survivor list of `u`'s row at `slack`, built on first use.
+    fn list(
+        &mut self,
+        g: &CsrGraph,
+        barrier: &[u32],
+        u: VertexId,
+        slack: u32,
+        row: Range<u32>,
+    ) -> Range<usize> {
+        if self.slots[u.index()] == UNBUILT {
+            self.slots[u.index()] = self.lists.len();
+            self.lists.resize(self.lists.len() + self.k as usize, UNBUILT..UNBUILT);
+        }
+        let slot = self.slots[u.index()] + slack as usize;
+        if self.lists[slot].start == UNBUILT {
+            let start = self.edges.len();
+            for e in row {
+                let v = g.edge_target(e);
+                if v == self.t || barrier[v.index()] <= slack {
+                    self.edges.push(e);
+                }
+            }
+            self.lists[slot] = start..self.edges.len();
+        }
+        self.lists[slot].clone()
+    }
 }
 
 /// Charges the verification module's schedule for `lane_iterations` inputs per
@@ -88,7 +196,7 @@ pub fn charge_expansion_schedule(
     lane_iterations: u64,
     memory_stall_ii: u64,
 ) {
-    let cfg = device.config().clone();
+    let cfg = device.config();
     let verify_ii = match pipeline {
         VerificationPipeline::Basic => cfg.basic_verify_depth,
         VerificationPipeline::Dataflow => 1,
@@ -103,8 +211,8 @@ pub fn charge_expansion_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::path::TempPath;
     use pefp_fpga::DeviceConfig;
-    use pefp_graph::CsrGraph;
 
     fn path_0_1(g: &CsrGraph) -> TempPath {
         TempPath::initial(g, VertexId(0)).extended(g, VertexId(1))
@@ -150,6 +258,75 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let p = path_0_1(&g);
         assert_eq!(verify(&p, VertexId(2), VertexId(2), 1, 0), Verdict::PrunedBarrier);
+    }
+
+    /// The barrier stage of Algorithm 2 applied to every edge of `window`.
+    fn brute_force_survivors(
+        g: &CsrGraph,
+        barrier: &[u32],
+        t: VertexId,
+        k: u32,
+        hops: u32,
+        window: Range<u32>,
+    ) -> Vec<u32> {
+        let new_hops = hops + 1;
+        window
+            .filter(|&e| {
+                let v = g.edge_target(e);
+                if v == t {
+                    new_hops <= k
+                } else {
+                    new_hops + barrier[v.index()] <= k
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn survivor_windows_match_a_brute_force_barrier_filter() {
+        let mut checked_windows = 0u32;
+        for seed in 0..6u64 {
+            let g = pefp_graph::generators::chung_lu(60, 4.0, 2.1, seed).to_csr();
+            let t = VertexId::from_index(seed as usize * 7 % 60);
+            for k in [1u32, 3, 7] {
+                // Arbitrary barriers in 0..=k+1, including bar[t] != 0: the
+                // memo must follow `verify` for any barrier array.
+                let barrier: Vec<u32> = (0..60u64)
+                    .map(|v| {
+                        let h = (v + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (seed << 32);
+                        ((h >> 29) % u64::from(k + 2)) as u32
+                    })
+                    .collect();
+                let mut memo = SurvivorMemo::new(g.num_vertices(), t, k);
+                // Visit rows in a scrambled order so lists are built lazily
+                // in between reads of already-built ones.
+                for step in 0..g.num_vertices() * 3 {
+                    let u = VertexId::from_index(step * 37 % g.num_vertices());
+                    let hops = (step as u32 * 5) % (k + 1);
+                    let row = g.neighbor_range(u);
+                    let mut windows = vec![row.clone(), row.start..row.start, row.end..row.end];
+                    if !row.is_empty() {
+                        windows.push(row.start..row.start + 1);
+                    }
+                    // Θ2 splits: consecutive windows of `quota` edges.
+                    for quota in 1..=8u32 {
+                        let mut start = row.start;
+                        while start < row.end {
+                            let end = (start + quota).min(row.end);
+                            windows.push(start..end);
+                            start = end;
+                        }
+                    }
+                    for w in windows {
+                        let got = memo.window(&g, &barrier, u, hops, w.clone()).to_vec();
+                        let want = brute_force_survivors(&g, &barrier, t, k, hops, w.clone());
+                        assert_eq!(got, want, "seed {seed} k {k} u {u} hops {hops} window {w:?}");
+                        checked_windows += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked_windows > 10_000, "only {checked_windows} windows checked");
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! On the FPGA an intermediate path occupies a fixed-width row of BRAM (the
 //! hop constraint bounds the number of vertices), together with the *neighbour
 //! pointers* that Batch-DFS uses to split a high-degree vertex's expansion
-//! across several batches (Algorithm 4 of the paper). [`TempPath`] mirrors
+//! across several batches (Algorithm 4 of the paper). [`PathRow`] mirrors
 //! that layout: an inline vertex array plus a cursor window into the CSR edge
 //! array, with no heap allocation in the hot loop.
+//!
+//! The host row is generic over its vertex capacity `N`: [`TempPath`] is the
+//! full-width row for any path of up to [`MAX_K`] hops, and queries with
+//! `k ≤ 15` run on 16-slot rows of about half the size. The modelled BRAM row
+//! ([`crate::engine::memory::PATH_ROW_BYTES`]) does not depend on `N`.
 
 use pefp_graph::{CsrGraph, VertexId};
 
@@ -15,13 +20,18 @@ use pefp_graph::{CsrGraph, VertexId};
 /// path row at 128 bytes of vertex payload (the fixed BRAM row width).
 pub const MAX_K: usize = 30;
 
-/// A partial path held in the buffer/processing area or spilled to DRAM.
+/// Row width of the narrow host path row: 16 vertices hold every path of a
+/// query with `k ≤ 15`, which covers the paper's `k ≤ 13`.
+pub(crate) const NARROW_ROW: usize = 16;
+
+/// A partial path of at most `N` vertices held in the buffer/processing area
+/// or spilled to DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TempPath {
-    /// Number of vertices currently on the path (`1..=MAX_K + 1`).
+pub struct PathRow<const N: usize> {
+    /// Number of vertices currently on the path (`1..=N`).
     len: u8,
     /// Inline vertex storage; slots `len..` are unspecified.
-    vertices: [VertexId; MAX_K + 1],
+    vertices: [VertexId; N],
     /// Next unconsumed successor of the last vertex, as an index into the CSR
     /// edge array ("end neighbour pointer" in Algorithm 4).
     nbr_next: u32,
@@ -31,14 +41,17 @@ pub struct TempPath {
     nbr_end: u32,
 }
 
-impl TempPath {
+/// The full-width path row: holds any path of up to [`MAX_K`] hops.
+pub type TempPath = PathRow<{ MAX_K + 1 }>;
+
+impl<const N: usize> PathRow<N> {
     /// Creates the initial single-vertex path `{s}` with the full successor
     /// range of `s`.
     pub fn initial(g: &CsrGraph, s: VertexId) -> Self {
         let range = g.neighbor_range(s);
-        let mut vertices = [VertexId::INVALID; MAX_K + 1];
+        let mut vertices = [VertexId::INVALID; N];
         vertices[0] = s;
-        TempPath { len: 1, vertices, nbr_next: range.start, nbr_end: range.end }
+        PathRow { len: 1, vertices, nbr_next: range.start, nbr_end: range.end }
     }
 
     /// Extends this path with successor `v`, giving the new path the full
@@ -46,9 +59,9 @@ impl TempPath {
     ///
     /// # Panics
     ///
-    /// Panics if the path already holds `MAX_K + 1` vertices.
+    /// Panics if the path already holds `N` vertices.
     pub fn extended(&self, g: &CsrGraph, v: VertexId) -> Self {
-        assert!((self.len as usize) < MAX_K + 1, "path exceeds MAX_K = {MAX_K} hops");
+        assert!((self.len as usize) < N, "path exceeds its row capacity of {} hops", N - 1);
         let mut next = *self;
         next.vertices[next.len as usize] = v;
         next.len += 1;
@@ -83,7 +96,7 @@ impl TempPath {
     }
 
     /// Whether `v` already appears on the path (the *visited check*). The loop
-    /// has a constant bound (`MAX_K + 1`), which is what allows the FPGA
+    /// has a constant bound (`N`), which is what allows the FPGA
     /// design to unroll it into parallel comparators.
     #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
@@ -123,7 +136,7 @@ impl TempPath {
     /// area and advances this path's cursor past it (Algorithm 4, lines 5–12).
     ///
     /// Returns the processing-area copy, or `None` when the window is empty.
-    pub fn take_window(&mut self, quota: u32) -> Option<TempPath> {
+    pub fn take_window(&mut self, quota: u32) -> Option<Self> {
         if self.window_exhausted() || quota == 0 {
             return None;
         }
@@ -222,15 +235,28 @@ mod tests {
         assert_eq!(p.to_vec(), vec![VertexId(0), VertexId(1), VertexId(4)]);
     }
 
-    #[test]
-    #[should_panic(expected = "exceeds MAX_K")]
-    fn overlong_paths_are_rejected() {
-        let n = MAX_K + 3;
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        let g = CsrGraph::from_edges(n, &edges);
-        let mut p = TempPath::initial(&g, VertexId(0));
-        for i in 1..n as u32 {
+    /// A chain path `0 → 1 → … → vertices - 1` built in a `PathRow<N>`.
+    fn chain_path<const N: usize>(vertices: u32) -> PathRow<N> {
+        let edges: Vec<(u32, u32)> = (0..vertices - 1).map(|i| (i, i + 1)).collect();
+        let g = CsrGraph::from_edges(vertices as usize, &edges);
+        let mut p = PathRow::<N>::initial(&g, VertexId(0));
+        for i in 1..vertices {
             p = p.extended(&g, VertexId(i));
         }
+        p
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds its row capacity of 30 hops")]
+    fn overlong_paths_are_rejected() {
+        // The narrow row holds exactly 15 hops and refuses the 16th.
+        assert_eq!(chain_path::<NARROW_ROW>(16).hops(), 15);
+        let narrow = std::panic::catch_unwind(|| chain_path::<NARROW_ROW>(17));
+        let message = narrow.expect_err("a 16-slot row must refuse a 17th vertex");
+        let message = message.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains("row capacity of 15 hops"), "{message}");
+        // The full-width row holds MAX_K hops and refuses one more.
+        assert_eq!(chain_path::<{ MAX_K + 1 }>(MAX_K as u32 + 1).hops(), MAX_K as u32);
+        chain_path::<{ MAX_K + 1 }>(MAX_K as u32 + 2);
     }
 }

@@ -17,12 +17,13 @@
 
 use crate::engine::PefpEngine;
 use crate::options::{BatchStrategy, EngineOptions, VerificationPipeline};
+use crate::path::{MAX_K, NARROW_ROW};
 use crate::preprocess::{
     no_prebfs_preprocess, no_prebfs_snapshot_with, no_prebfs_with, pre_bfs, pre_bfs_snapshot_with,
     pre_bfs_with, PrepareContext, PreparedQuery,
 };
-use crate::result::PefpRunResult;
-use pefp_fpga::{Device, DeviceConfig};
+use crate::result::{EngineOutput, PefpRunResult};
+use pefp_fpga::{Device, DeviceConfig, DeviceReport};
 use pefp_graph::sink::{CollectSink, CountingSink, PathSink, TranslateSink};
 use pefp_graph::{CsrGraph, VertexId};
 use serde::{Deserialize, Serialize};
@@ -227,19 +228,14 @@ pub fn run_prepared_on_device<S: PathSink + ?Sized>(
 
     let host_start = Instant::now();
     let (output, report) = if prep.feasible {
-        let mut engine =
-            PefpEngine::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, options, device);
-        let output = match &prep.mapping {
-            Some(mapping) => {
-                let mut translate = TranslateSink::new(mapping, sink);
-                engine.run_with_sink(&mut translate)
-            }
-            None => engine.run_with_sink(sink),
-        };
-        let report = engine.device_report();
-        (output, report)
+        // Host path rows sized to k; the simulated BRAM row is the same.
+        if (prep.k as usize) < NARROW_ROW {
+            run_engine::<NARROW_ROW, S>(prep, options, device, sink)
+        } else {
+            run_engine::<{ MAX_K + 1 }, S>(prep, options, device, sink)
+        }
     } else {
-        (crate::result::EngineOutput::default(), device.report())
+        (EngineOutput::default(), device.report())
     };
     let host_engine_millis = host_start.elapsed().as_secs_f64() * 1e3;
 
@@ -252,6 +248,22 @@ pub fn run_prepared_on_device<S: PathSink + ?Sized>(
         device: report,
         stats: output.stats,
     }
+}
+
+/// Runs the engine with host path rows of `N` vertices on a feasible query.
+fn run_engine<const N: usize, S: PathSink + ?Sized>(
+    prep: &PreparedQuery,
+    options: EngineOptions,
+    device: Device,
+    sink: &mut S,
+) -> (EngineOutput, DeviceReport) {
+    let mut engine =
+        PefpEngine::<N>::new(&prep.graph, &prep.barrier, prep.s, prep.t, prep.k, options, device);
+    let output = match &prep.mapping {
+        Some(mapping) => engine.run_with_sink(&mut TranslateSink::new(mapping, sink)),
+        None => engine.run_with_sink(sink),
+    };
+    (output, engine.device_report())
 }
 
 /// Runs one complete PEFP query — preprocessing, PCIe transfer, device
